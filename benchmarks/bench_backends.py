@@ -16,8 +16,24 @@ from ocmeta import backend, linalg
 from ocmeta.rng import Rng
 from ocmeta.svdd import TrainConfig, train_svdd
 
-MATMUL_SHAPES = [(64, 16, 64), (64, 64, 32), (200, 64, 32), (256, 128, 128)]
-FILL_SHAPES = [(64, 64), (256, 128)]
+# (n, k, m) for n x k @ k x m. The NumPy kernel takes its accumulate path
+# when n*m <= 256 and its rank-1 loop otherwise: the first five shapes
+# straddle that rule (gradcheck operands, the inference net's single-row
+# products, its 1x4096 @ 4096x64 backward product, an episode's query
+# layer), the rest are one-class training shapes.
+MATMUL_SHAPES = [
+    (8, 16, 4),
+    (1, 128, 16),
+    (1, 4096, 64),
+    (10, 64, 32),
+    (20, 64, 32),
+    (64, 16, 64),
+    (64, 64, 32),
+    (200, 64, 32),
+    (256, 128, 128),
+]
+# 1 x 2048 is one posterior draw of the stock meta-training config
+FILL_SHAPES = [(1, 2048), (64, 64), (256, 128)]
 
 
 def timeit(fn, repeat):

@@ -189,6 +189,12 @@ def _cmd_train_meta(args):
     v = _resolve(args, "train-meta")
     tasks = load_task_dir(args.data)
     holdout = tuple(h for h in v["holdout"].split(",") if h)
+    unknown = sorted(set(holdout) - {t.task_id for t in tasks})
+    if unknown:
+        raise ConfigError(
+            f"--holdout names unknown task ids {', '.join(map(repr, unknown))} "
+            f"(not in {args.data})"
+        )
     config = _meta_config(v)
     trunk, phi, log = meta.meta_train(tasks, holdout, config)
     enc_config = mlp.EncoderConfig(
@@ -198,7 +204,7 @@ def _cmd_train_meta(args):
     )
     model_io.save_meta_model(args.out, trunk, enc_config, phi.layers)
     print(
-        f"meta-trained on {len(tasks) - len(holdout)} tasks for {v['steps']} steps; "
+        f"meta-trained on {len(tasks) - len(set(holdout))} tasks for {v['steps']} steps; "
         f"final step loss {log[-1]:.6f}; model -> {args.out}"
     )
     return EXIT_OK

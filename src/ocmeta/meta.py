@@ -173,8 +173,12 @@ def infer_posterior(support, trunk, phi):
     if support.shape[0] < 1:
         raise DataError("infer_posterior: empty support set")
     h, _ = mlp.trunk_forward(support, trunk)
-    pooled = linalg.colmean_exact(h)
-    posterior, _ = _infer_forward(pooled, phi)
+    return _pooled_posterior(h, phi)
+
+
+def _pooled_posterior(h, phi):
+    """Posterior from the trunk features h of a support set."""
+    posterior, _ = _infer_forward(linalg.colmean_exact(h), phi)
     return posterior
 
 
@@ -416,8 +420,8 @@ def adapt_and_score(support, queries, trunk, phi, posterior_samples=0, rng=None)
     """
     if support.shape[0] < 1:
         raise DataError("adapt_and_score: empty support set")
-    posterior = infer_posterior(support, trunk, phi)
     h_s, _ = mlp.trunk_forward(support, trunk)
+    posterior = _pooled_posterior(h_s, phi)
     h_q, _ = mlp.trunk_forward(queries, trunk)
 
     def one(w, b):

@@ -121,6 +121,28 @@ def test_bad_config_value_is_usage_error(task_dir, tmp_path):
     ) == 1
 
 
+def test_unknown_holdout_is_usage_error(task_dir, tmp_path, capsys):
+    model = tmp_path / "meta.bin"
+    capsys.readouterr()
+    code = run(
+        "train-meta", "--data", str(task_dir), "--out", str(model),
+        "--holdout", "task1,nosuch", *META_FLAGS,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'nosuch'" in err and "'task1'" not in err
+    assert not model.exists()
+
+
+def test_train_meta_reports_the_real_pool_size(task_dir, tmp_path, capsys):
+    capsys.readouterr()
+    assert run(
+        "train-meta", "--data", str(task_dir), "--out", str(tmp_path / "meta.bin"),
+        "--holdout", "task0,task0", *META_FLAGS,
+    ) == 0
+    assert "meta-trained on 2 tasks" in capsys.readouterr().out
+
+
 def test_usage_errors_exit_one(capsys):
     assert run() == 1
     assert run("frobnicate") == 1

@@ -59,6 +59,71 @@ def test_matmul_bit_identical_across_runs():
     assert np.array_equal(linalg.matmul(a, b), linalg.matmul(a, b))
 
 
+def rank1_matmul(a, b):
+    """Frozen reference: the rank-1 update loop the compiled kernel mirrors
+    (out starts at 0.0; each k adds one rounded product per element)."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for k in range(a.shape[1]):
+        out += a[:, k : k + 1] * b[k : k + 1, :]
+    return out
+
+
+# both sides of the kernel's small-output rule (n*m <= 256; 16x40 @ 40x16
+# sits on it, 17x9 @ 9x16 just past it), and k long
+# enough to cross its 2**15-element accumulate blocks (1x4096 @ 4096x64
+# runs in blocks of 511 k, 2x40000 @ 40000x1 in blocks of 16383 k)
+PARITY_SHAPES = [
+    (1, 1, 1),
+    (8, 16, 4),
+    (1, 128, 16),
+    (16, 40, 16),
+    (17, 9, 16),
+    (20, 64, 32),
+    (64, 16, 64),
+    (1, 4096, 64),
+    (2, 40000, 1),
+]
+
+
+@pytest.mark.parametrize("shape", PARITY_SHAPES)
+def test_matmul_matches_rank1_loop_bitwise(shape):
+    n, k, m = shape
+    rng = np.random.default_rng(n * 1_000_003 + k * 101 + m)
+    a = rng.standard_normal((n, k)) * np.exp(rng.uniform(-20, 20, (n, k)))
+    b = rng.standard_normal((k, m))
+    a[0] = 0.0  # a row of +0 and a row of -0 (when n > 1)
+    a[-1, ::2] = -0.0 if n > 1 else 0.0
+    if m > 1:
+        b[:, 0] = -0.0  # a column of -0 products
+    got = linalg.matmul(a, b)
+    want = rank1_matmul(a, b)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_matmul_signed_zero_products_sum_to_plus_zero():
+    # every entry is a zero: -0 products, +0/-0 mixes, and 1 - 1
+    a = np.array([[-0.0, -0.0, 0.0], [-1.0, 1.0, -0.0]])
+    b = np.array([[1.0, -0.0], [1.0, -0.0], [-1.0, -0.0]])
+    got = linalg.matmul(a, b)
+    assert np.array_equal(np.signbit(got), np.signbit(rank1_matmul(a, b)))
+    assert (got == 0.0).all() and not np.signbit(got).any()
+
+
+@pytest.mark.parametrize("k", [3, 3000])
+def test_matmul_cancellation_keeps_k_order_at_both_sizes(k):
+    # 1e16 + 1 rounds back to 1e16, so in k order every 1 is lost and the
+    # final -1e16 leaves 0; any regrouping of the sum keeps some of the 1s.
+    # Checked with a narrow output (accumulate path) and a wide one (loop).
+    a = np.ones((1, k))
+    a[0, 0], a[0, -1] = 1e16, -1e16
+    for m in (1, 512):
+        b = np.ones((k, m))
+        got = linalg.matmul(a, b)
+        assert np.array_equal(got, rank1_matmul(a, b))
+        assert (got == 0.0).all()
+
+
 def test_matmul_flags_non_finite_result():
     a = np.array([[1e308, 1e308]])
     b = np.array([[2.0], [2.0]])

@@ -53,6 +53,43 @@ def test_gaussian_matrix_matches_scalar_stream():
     assert r1.gaussian() == r2.gaussian()  # identical spare state afterwards
 
 
+def scalar_stream(rng, count):
+    return np.array([rng.gaussian() for _ in range(count)])
+
+
+def assert_same_generator_state(r1, r2):
+    assert r1.state == r2.state
+    assert r1._has_spare == r2._has_spare
+    assert r1._spare == r2._spare
+
+
+# the kernel generates xorshift states 1024 at a time from its jump table:
+# 1x2048 takes exactly two blocks, 64x64 four, 1x4097 five (the last
+# one two states long)
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2048), (1, 4097), (64, 64), (101, 37)])
+def test_gaussian_matrix_matches_scalar_stream_at_scale(seed, shape):
+    r1, r2 = Rng(seed), Rng(seed)
+    m = r1.gaussian_matrix(*shape)
+    assert m.shape == shape
+    assert np.array_equal(m.ravel(), scalar_stream(r2, shape[0] * shape[1]))
+    assert_same_generator_state(r1, r2)
+    assert r1.gaussian() == r2.gaussian()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_gaussian_matrix_carries_the_spare_across_odd_fills(seed):
+    sizes = [(3, 3), (1, 4), (5, 7), (1, 1), (1, 4097), (1, 2), (3, 1)]
+    r1, r2 = Rng(seed), Rng(seed)
+    for rows, cols in sizes:
+        m = r1.gaussian_matrix(rows, cols)
+        assert np.array_equal(m.ravel(), scalar_stream(r2, rows * cols))
+        assert_same_generator_state(r1, r2)
+    # scalar draws and u64 draws continue the same stream afterwards
+    assert r1.gaussian() == r2.gaussian()
+    assert r1.u64() == r2.u64()
+
+
 def test_gaussian_matrix_rejects_bad_shape():
     with pytest.raises(ValueError):
         Rng(1).gaussian_matrix(0, 3)

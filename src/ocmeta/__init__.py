@@ -10,8 +10,9 @@ Two detectors over a shared MLP encoder core:
   a Gaussian posterior over the encoder's final layer, so new tasks adapt
   with a single forward pass and no re-training.
 
-Everything is deterministic given seeds and bit-identical across the
-compiled and pure-Python kernel backends (see `ocmeta.backend`).
+Everything is deterministic given seeds: the same seed gives bit-identical
+results on every run (the kernels in `ocmeta.backend` fix every summation
+order and the random stream).
 """
 
 from . import backend

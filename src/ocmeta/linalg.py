@@ -1,8 +1,8 @@
 """Dense float64 linear algebra with pinned reduction orders.
 
 Matrices are plain 2-D C-contiguous float64 ndarrays. Reductions that feed
-results back into training are routed through here so every backend and
-every run sums in the same documented order.
+results back into training are routed through here so every run sums in
+the same documented order.
 """
 
 import math
@@ -41,8 +41,8 @@ def ensure_finite(a, what):
 def matmul(a, b):
     """Matrix product with the inner sum accumulated left to right.
 
-    The fixed order makes results bit-identical across runs and backends;
-    BLAS is deliberately not used here.
+    The fixed order makes results bit-identical across runs; BLAS is
+    deliberately not used here.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError("matmul: operands must be 2-D")

@@ -11,6 +11,7 @@ penalty weighted by eta. Adaptation at test time is a single forward pass:
 no parameter updates happen after meta-training.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,18 +45,22 @@ class MetaConfig:
             raise ConfigError(f"posterior_samples must be >= 1, got {self.posterior_samples}")
         if self.meta_batch < 1:
             raise ConfigError(f"meta_batch must be >= 1, got {self.meta_batch}")
-        if self.eta <= 0:
-            raise ConfigError(f"eta must be > 0, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ConfigError(f"eta must be finite and > 0, got {self.eta}")
         if self.support_size < 1:
             raise ConfigError(f"support_size must be >= 1, got {self.support_size}")
         if self.query_in < 1 or self.query_out < 0:
             raise ConfigError("query sizes must satisfy query_in >= 1, query_out >= 0")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.meta_steps < 1:
             raise ConfigError(f"meta_steps must be >= 1, got {self.meta_steps}")
-        if len(self.inference_hidden) != 2:
-            raise ConfigError("inference_hidden must name exactly 2 widths")
+        if self.latent_dim < 1:
+            raise ConfigError(f"latent_dim must be >= 1, got {self.latent_dim}")
+        if len(self.inference_hidden) != 2 or min(self.inference_hidden) < 1:
+            raise ConfigError(
+                f"inference_hidden must name exactly 2 widths >= 1, got {self.inference_hidden}"
+            )
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 xorshift64* for the integer stream, the basic Box-Muller transform for
 normals. The algorithm is fixed so that a given seed produces the same
-stream everywhere; Gaussian matrix fills go through the kernel backend and
-consume exactly the same stream as scalar draws (the Box-Muller spare is
-carried across calls).
+stream everywhere; Gaussian matrix fills go through the vectorized kernel
+in `backend` and consume exactly the same stream as scalar draws (the
+Box-Muller spare is carried across calls).
 """
 
 from math import cos, log, sin, sqrt
@@ -12,7 +12,7 @@ from math import cos, log, sin, sqrt
 import numpy as np
 
 from . import backend
-from ._kernels_py import INV_2_53, TWO_PI
+from .backend import INV_2_53, TWO_PI
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MULT = 0x2545F4914F6CDD1D

@@ -34,10 +34,12 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.latent_dim < 1:
             raise ConfigError(f"latent_dim must be >= 1, got {self.latent_dim}")
+        if not math.isfinite(self.center_floor):
+            raise ConfigError(f"center_floor must be finite, got {self.center_floor}")
 
 
 @dataclass

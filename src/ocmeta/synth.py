@@ -6,6 +6,7 @@ the other clusters labeled -1 (the other categories play the role of the
 out-of-distribution class, matching the one-vs-rest evaluation).
 """
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,8 +36,8 @@ class SynthConfig:
             raise ConfigError(
                 f"samples_per_class must be >= 1, got {self.samples_per_class}"
             )
-        if self.separation <= 0:
-            raise ConfigError(f"separation must be > 0, got {self.separation}")
+        if not (math.isfinite(self.separation) and self.separation > 0):
+            raise ConfigError(f"separation must be finite and > 0, got {self.separation}")
 
 
 def _place_means(config, rng):

@@ -143,6 +143,23 @@ def test_train_meta_reports_the_real_pool_size(task_dir, tmp_path, capsys):
     assert "meta-trained on 2 tasks" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train-meta", "--data", "{tasks}", "--latent", "0"],
+        ["train-oc", "--data", "{tasks}/task0.csv", "--lr", "nan"],
+        ["synth", "--tasks", "3", "--dim", "4", "--per-class", "5", "--sep", "nan"],
+    ],
+)
+def test_bad_config_value_flag_exits_one(argv, task_dir, tmp_path, capsys):
+    argv = [arg.format(tasks=task_dir) for arg in argv]
+    capsys.readouterr()
+    assert run(*argv, "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert "ocmeta: config error" in err and "must be" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_errors_exit_one(capsys):
     assert run() == 1
     assert run("frobnicate") == 1

@@ -2,6 +2,9 @@ import pytest
 
 from ocmeta.config import parse_config
 from ocmeta.errors import ConfigError
+from ocmeta.meta import MetaConfig
+from ocmeta.svdd import TrainConfig
+from ocmeta.synth import SynthConfig
 
 
 def write(tmp_path, text):
@@ -57,3 +60,23 @@ def test_duplicate_after_normalization(tmp_path):
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(tmp_path / "absent.cfg")
+
+
+def _synth(**kw):
+    return SynthConfig(n_tasks=3, dim=4, samples_per_class=10, **kw)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (TrainConfig, "lr"),
+        (TrainConfig, "center_floor"),
+        (MetaConfig, "lr"),
+        (MetaConfig, "eta"),
+        (_synth, "separation"),
+    ],
+)
+def test_non_finite_config_value_is_config_error(make, field, value):
+    with pytest.raises(ConfigError, match=field):
+        make(**{field: value})

@@ -60,8 +60,9 @@ def test_matmul_bit_identical_across_runs():
 
 
 def rank1_matmul(a, b):
-    """Frozen reference: the rank-1 update loop the compiled kernel mirrors
-    (out starts at 0.0; each k adds one rounded product per element)."""
+    """Frozen reference: the rank-1 update loop that fixes the kernel's
+    arithmetic (out starts at 0.0; each k adds one rounded product per
+    element, in k order)."""
     out = np.zeros((a.shape[0], b.shape[1]))
     for k in range(a.shape[1]):
         out += a[:, k : k + 1] * b[k : k + 1, :]
@@ -71,8 +72,12 @@ def rank1_matmul(a, b):
 # both sides of the kernel's small-output rule (n*m <= 256; 16x40 @ 40x16
 # sits on it, 17x9 @ 9x16 just past it), and k long
 # enough to cross its 2**15-element accumulate blocks (1x4096 @ 4096x64
-# runs in blocks of 511 k, 2x40000 @ 40000x1 in blocks of 16383 k)
+# runs in blocks of 511 k, 2x40000 @ 40000x1 in blocks of 16383 k), and
+# empty operands: no rows, no columns, an empty inner dimension
 PARITY_SHAPES = [
+    (0, 3, 2),
+    (2, 3, 0),
+    (2, 0, 3),
     (1, 1, 1),
     (8, 16, 4),
     (1, 128, 16),
@@ -91,8 +96,9 @@ def test_matmul_matches_rank1_loop_bitwise(shape):
     rng = np.random.default_rng(n * 1_000_003 + k * 101 + m)
     a = rng.standard_normal((n, k)) * np.exp(rng.uniform(-20, 20, (n, k)))
     b = rng.standard_normal((k, m))
-    a[0] = 0.0  # a row of +0 and a row of -0 (when n > 1)
-    a[-1, ::2] = -0.0 if n > 1 else 0.0
+    if n:
+        a[0] = 0.0  # a row of +0 and a row of -0 (when n > 1)
+        a[-1, ::2] = -0.0 if n > 1 else 0.0
     if m > 1:
         b[:, 0] = -0.0  # a column of -0 products
     got = linalg.matmul(a, b)

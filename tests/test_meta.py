@@ -66,6 +66,10 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         MetaConfig(inference_hidden=(64,))
     with pytest.raises(ConfigError):
+        MetaConfig(inference_hidden=(64, 0))
+    with pytest.raises(ConfigError):
+        MetaConfig(latent_dim=0)
+    with pytest.raises(ConfigError):
         MetaConfig(meta_steps=0)
 
 

@@ -1,4 +1,4 @@
-"""Central finite-difference verification of analytic gradients."""
+"""Finite-difference verification of analytic gradients."""
 
 import math
 
@@ -11,18 +11,30 @@ def grad_check(loss_and_grad, params, h=1e-4):
     """Max relative error between analytic and numeric gradients.
 
     loss_and_grad(params) must be pure and return (loss, grads) with grads
-    aligned to params. Each coordinate is perturbed by +-h in place and the
-    central difference (loss(p+h) - loss(p-h)) / 2h is compared against the
-    analytic value as |a - n| / max(1e-8, |a| + |n|).
+    aligned to params. grads may be a zero-argument callable returning them:
+    it is called once, at the unperturbed point, and never for the +-h
+    evaluations, so those can skip the backward pass. loss_and_grad is
+    called exactly 2n + 1 times for n coordinates.
 
-    A central difference cannot resolve below the round-off of lp - lm
-    (a few ulp of the loss, divided by 2h), so disagreement under that
-    resolution counts as exact agreement; otherwise a coordinate whose true
-    gradient is zero would fail on one bit of floating-point jitter.
+    Each coordinate is perturbed by +-h in place, giving lp and lm besides
+    the unperturbed loss l0. The analytic value a is compared with three
+    differences n: central (lp - lm) / 2h, forward (lp - l0) / h and
+    backward (l0 - lm) / h. Its error is the smallest of
+    |a - n| / max(1e-8, |a| + |n|) over the three. On a smooth coordinate
+    the central difference is the closest; where a ReLU kink lies within h
+    of the point, one one-sided difference still sees a single linear piece,
+    so a correct gradient is not failed there.
+
+    A difference cannot resolve below the round-off of the losses (a few
+    ulp of the loss, divided by 2h), so disagreement under that resolution
+    counts as exact agreement; otherwise a coordinate whose true gradient is
+    zero would fail on one bit of floating-point jitter.
     """
     loss, grads = loss_and_grad(params)
     if not math.isfinite(loss):
         raise NumericError("grad_check: loss is not finite")
+    if callable(grads):
+        grads = grads()
     resolution = 32.0 * math.ulp(max(1.0, abs(loss))) / (2.0 * h)
     worst = 0.0
     for p, g in zip(params, grads):
@@ -37,13 +49,19 @@ def grad_check(loss_and_grad, params, h=1e-4):
             flat[i] = orig
             if not (math.isfinite(lp) and math.isfinite(lm)):
                 raise NumericError("grad_check: perturbed loss is not finite")
-            numeric = (lp - lm) / (2.0 * h)
             analytic = gflat[i]
-            gap = max(0.0, abs(analytic - numeric) - resolution)
-            err = gap / max(1e-8, abs(analytic) + abs(numeric))
+            err = min(
+                _relative_error(analytic, numeric, resolution)
+                for numeric in ((lp - lm) / (2.0 * h), (lp - loss) / h, (loss - lm) / h)
+            )
             if err > worst:
                 worst = err
     return worst
+
+
+def _relative_error(analytic, numeric, resolution):
+    gap = max(0.0, abs(analytic - numeric) - resolution)
+    return gap / max(1e-8, abs(analytic) + abs(numeric))
 
 
 def check_oneclass(seed, h=1e-5, input_dim=8, hidden=(16,), latent_dim=4, n=8):
@@ -86,7 +104,9 @@ def check_episodic(
 
     Covers every trunk and inference-net parameter, including the pooled
     support path and the per-episode center path. The zero-initialized
-    inference output layer is nudged so no path is structurally dead.
+    inference output layer is nudged so no path is structurally dead. The
+    +-h evaluations run the loss-only forward pass (meta.episode_loss_value);
+    the analytic gradients come from meta.episode_loss, once.
     """
     from . import meta
     from .rng import Rng
@@ -119,12 +139,11 @@ def check_episodic(
     noise = [rng.gaussian_matrix(1, phi.n_final)[0] for _ in range(samples)]
     arrays = meta.trunk_param_arrays(trunk) + meta.phi_param_arrays(phi)
 
+    def grads():
+        _, tg, pg = meta.episode_loss(episode, trunk, phi, config, noise=noise)
+        return [g for pair in tg + pg for g in pair]
+
     def loss_and_grad(_):
-        loss, tg, pg = meta.episode_loss(episode, trunk, phi, config, noise=noise)
-        flat = []
-        for dw, db in tg + pg:
-            flat.append(dw)
-            flat.append(db)
-        return loss, flat
+        return meta.episode_loss_value(episode, trunk, phi, config, noise=noise), grads
 
     return grad_check(loss_and_grad, arrays, h=h)

@@ -33,7 +33,7 @@ def as_vector(x, name="vector"):
 
 
 def ensure_finite(a, what):
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericError(f"{what}: non-finite value encountered")
     return a
 

@@ -237,16 +237,37 @@ def _flat_layer_grad(dw, db, final_bias):
     return dw.reshape(-1)
 
 
-def episode_loss(episode, trunk, phi, config, rng=None, noise=None):
-    """Episodic one-class loss and its gradients w.r.t. trunk and inference
-    net parameters.
+@dataclass
+class _EpisodeCache:
+    """What the backward half of episode_loss needs from its forward half."""
 
-    For each of L sampled final layers the in-distribution query distances
-    to the episode center are summed and each out-of-distribution query
-    contributes eta / (distance^2 + 1e-6); each bracket is normalized by
-    (N + M + L) and the L brackets are averaged. Gradients flow through the
-    query encodings, the reparameterized samples, and the center (the mean
-    support latent under the posterior-mean final layer).
+    pos_mask: np.ndarray
+    neg_mask: np.ndarray
+    eta: float
+    denom: int
+    h_s: np.ndarray
+    cache_s: list
+    inf_cache: tuple
+    posterior: FinalLayerPosterior
+    sigma: np.ndarray
+    eps: np.ndarray  # (L, n_flat), row l is draw l's noise
+    w_mu: np.ndarray
+    center: np.ndarray
+    h_q: np.ndarray
+    cache_q: list
+    w_all: np.ndarray  # (feat_dim, L * latent_dim): [W_1 ... W_L]
+    z: np.ndarray  # (L, n_query, latent_dim): z[l] = h_q @ W_l (+ b_l)
+    inv: np.ndarray  # (L, n_out): 1 / (distance^2 + EPS_INV)
+
+
+def _episode_forward(episode, trunk, phi, config, rng, noise):
+    """Forward half of episode_loss: (loss, cache for _episode_backward).
+
+    The L draws are stacked: one (L, n_flat) noise matrix, the sampled
+    weight matrices side by side, and one h_q @ [W_1 ... W_L] product. Every
+    element is the same k-ordered sum as in a per-draw product, and the
+    brackets are added in draw order, so the loss is bit-identical to
+    evaluating the draws one at a time.
     """
     L = config.posterior_samples
     pos_mask = episode.query_y == 1
@@ -258,7 +279,6 @@ def episode_loss(episode, trunk, phi, config, rng=None, noise=None):
     if noise is not None and len(noise) != L:
         raise DimensionError(f"episode_loss: {len(noise)} noise vectors for L={L}")
 
-    ns = episode.support.shape[0]
     h_s, cache_s = mlp.trunk_forward(episode.support, trunk)
     pooled = linalg.colmean_exact(h_s)
     posterior, inf_cache = _infer_forward(pooled, phi)
@@ -273,65 +293,141 @@ def episode_loss(episode, trunk, phi, config, rng=None, noise=None):
 
     h_q, cache_q = mlp.trunk_forward(episode.query_x, trunk)
 
-    denom = L * (n_pos + n_neg + L)
-    coef = 1.0 / denom
+    n_flat = mu.shape[0]
+    if noise is None:
+        # the same row-major stream as L single-row draws
+        eps = rng.gaussian_matrix(L, n_flat)
+    else:
+        eps = np.asarray(noise, dtype=np.float64)
+        if eps.shape != (L, n_flat):
+            raise DimensionError(
+                f"episode_loss: noise of shape {eps.shape}, expected {(L, n_flat)}"
+            )
+    flat = mu + sigma * eps
+    fd, d = posterior.feat_dim, posterior.latent_dim
+    nw = fd * d
+    w_all = flat[:, :nw].reshape(L, fd, d).transpose(1, 0, 2).reshape(fd, L * d)
+    z_all = linalg.matmul(h_q, w_all)
+    if posterior.final_bias:
+        z_all = z_all + flat[:, nw:].reshape(-1)
+    n_q = h_q.shape[0]
+    z = np.ascontiguousarray(z_all.reshape(n_q, L, d).transpose(1, 0, 2))
+    sq = linalg.row_sqdist(z.reshape(L * n_q, d), center).reshape(L, n_q)
+    inv = 1.0 / (sq[:, neg_mask] + EPS_INV)
     bracket_total = 0.0
-    draws = []
     for l in range(L):
-        eps = noise[l] if noise is not None else rng.gaussian_matrix(1, mu.shape[0])[0]
-        w_flat = mu + sigma * eps
-        w_l, b_l = posterior.materialize(w_flat)
-        z_l = linalg.matmul(h_q, w_l)
-        if b_l is not None:
-            z_l = z_l + b_l
-        sq = linalg.row_sqdist(z_l, center)
-        inv = 1.0 / (sq[neg_mask] + EPS_INV)
-        bracket_total += linalg.vsum(sq[pos_mask]) + config.eta * linalg.vsum(inv)
-        draws.append((eps, w_l, z_l, sq, inv))
+        bracket_total += linalg.vsum(sq[l, pos_mask]) + config.eta * linalg.vsum(inv[l])
+    denom = L * (n_pos + n_neg + L)
     loss = bracket_total / denom
     if not np.isfinite(loss):
         raise NumericError("episode_loss: non-finite loss")
+    cache = _EpisodeCache(
+        pos_mask=pos_mask,
+        neg_mask=neg_mask,
+        eta=config.eta,
+        denom=denom,
+        h_s=h_s,
+        cache_s=cache_s,
+        inf_cache=inf_cache,
+        posterior=posterior,
+        sigma=sigma,
+        eps=eps,
+        w_mu=w_mu,
+        center=center,
+        h_q=h_q,
+        cache_q=cache_q,
+        w_all=w_all,
+        z=z,
+        inv=inv,
+    )
+    return loss, cache
 
-    # backward
-    n_flat = mu.shape[0]
+
+def _episode_backward(c, trunk, phi):
+    """Backward half of episode_loss: (trunk_grads, phi_grads) from the cache.
+
+    The weight gradients of all draws are one h_q^T @ [dz_1 ... dz_L] product
+    and their column sums one colsum; each element keeps its own k-ordered
+    sum. dh_q, dcenter, dmu and dlv accumulate per draw in draw order (a
+    stacked L*latent-term dh_q sum would round differently).
+    """
+    posterior = c.posterior
+    L, n_q, d = c.z.shape
+    fd = posterior.feat_dim
+    n_flat = posterior.mu.shape[0]
+    coef = 1.0 / c.denom
+    dsq = np.zeros((L, n_q))
+    dsq[:, c.pos_mask] = coef
+    dsq[:, c.neg_mask] = -c.eta * coef * c.inv * c.inv
+    dz = (2.0 * dsq)[:, :, None] * (c.z - c.center)
+    dz_all = dz.transpose(1, 0, 2).reshape(n_q, L * d)
+    dz_colsum = linalg.colsum(dz_all)
+    dw_all = linalg.matmul(np.ascontiguousarray(c.h_q.T), dz_all)
+    # row l: draw l's flattened final-layer gradient (weights, then bias)
+    dw_flat = dw_all.reshape(fd, L, d).transpose(1, 0, 2).reshape(L, fd * d)
+    if posterior.final_bias:
+        dw_flat = np.concatenate([dw_flat, dz_colsum.reshape(L, d)], axis=1)
+    dlv_terms = dw_flat * c.eps * c.sigma * 0.5
+
     dmu = np.zeros(n_flat)
     dlv = np.zeros(n_flat)
-    dh_q = np.zeros_like(h_q)
-    dcenter = np.zeros_like(center)
-    for eps, w_l, z_l, sq, inv in draws:
-        dsq = np.zeros(sq.shape[0])
-        dsq[pos_mask] = coef
-        dsq[neg_mask] = -config.eta * coef * inv * inv
-        dz_l = (2.0 * dsq)[:, None] * (z_l - center)
-        dcenter -= linalg.colsum(dz_l)
-        dh_q += linalg.matmul(dz_l, np.ascontiguousarray(w_l.T))
-        dw_l = linalg.matmul(np.ascontiguousarray(h_q.T), dz_l)
-        db_l = linalg.colsum(dz_l) if posterior.final_bias else None
-        dw_flat = _flat_layer_grad(dw_l, db_l, posterior.final_bias)
-        dmu += dw_flat
-        dlv += dw_flat * eps * sigma * 0.5
+    dh_q = np.zeros_like(c.h_q)
+    dcenter = np.zeros_like(c.center)
+    for l in range(L):
+        cols = slice(l * d, (l + 1) * d)
+        dcenter -= dz_colsum[cols]
+        dh_q += linalg.matmul(dz[l], np.ascontiguousarray(c.w_all[:, cols].T))
+        dmu += dw_flat[l]
+        dlv += dlv_terms[l]
 
     # center path: center = colmean(h_s @ w_mu), so each support row sees
     # dcenter / ns
+    ns = c.h_s.shape[0]
     dz_c = np.tile(dcenter / ns, (ns, 1))
-    dw_mu = linalg.matmul(np.ascontiguousarray(h_s.T), dz_c)
+    dw_mu = linalg.matmul(np.ascontiguousarray(c.h_s.T), dz_c)
     db_mu = linalg.colsum(dz_c) if posterior.final_bias else None
     dmu += _flat_layer_grad(dw_mu, db_mu, posterior.final_bias)
-    dh_s = linalg.matmul(dz_c, np.ascontiguousarray(w_mu.T))
+    dh_s = linalg.matmul(dz_c, np.ascontiguousarray(c.w_mu.T))
 
     # clamp: no gradient outside [LOGVAR_MIN, LOGVAR_MAX]
-    lv_raw = inf_cache[5]
+    lv_raw = c.inf_cache[5]
     dlv_raw = dlv * ((lv_raw >= LOGVAR_MIN) & (lv_raw <= LOGVAR_MAX))
     dout = np.concatenate([dmu, dlv_raw]).reshape(1, -1)
-    dpooled, phi_grads = _infer_backward(inf_cache, phi, dout)
+    dpooled, phi_grads = _infer_backward(c.inf_cache, phi, dout)
 
     # pooled = colmean(h_s): every support row sees dpooled / ns
     dh_s = dh_s + np.tile(dpooled / ns, (ns, 1))
 
-    gs, _ = mlp.trunk_backward(trunk, cache_s, dh_s)
-    gq, _ = mlp.trunk_backward(trunk, cache_q, dh_q)
+    gs, _ = mlp.trunk_backward(trunk, c.cache_s, dh_s)
+    gq, _ = mlp.trunk_backward(trunk, c.cache_q, dh_q)
     trunk_grads = [(a[0] + b[0], a[1] + b[1]) for a, b in zip(gs, gq)]
+    return trunk_grads, phi_grads
+
+
+def episode_loss(episode, trunk, phi, config, rng=None, noise=None):
+    """Episodic one-class loss and its gradients w.r.t. trunk and inference
+    net parameters.
+
+    For each of L sampled final layers the in-distribution query distances
+    to the episode center are summed and each out-of-distribution query
+    contributes eta / (distance^2 + 1e-6); each bracket is normalized by
+    (N + M + L) and the L brackets are averaged. Gradients flow through the
+    query encodings, the reparameterized samples, and the center (the mean
+    support latent under the posterior-mean final layer).
+
+    noise, if given, is L noise vectors (a list or an (L, n_flat) array);
+    otherwise one (L, n_flat) matrix is drawn from rng. Returns
+    (loss, trunk_grads, phi_grads).
+    """
+    loss, cache = _episode_forward(episode, trunk, phi, config, rng, noise)
+    trunk_grads, phi_grads = _episode_backward(cache, trunk, phi)
     return loss, trunk_grads, phi_grads
+
+
+def episode_loss_value(episode, trunk, phi, config, rng=None, noise=None):
+    """The loss of episode_loss alone, bit-identical to it, without the
+    backward pass. Draws the same noise from rng when none is given."""
+    return _episode_forward(episode, trunk, phi, config, rng, noise)[0]
 
 
 def trunk_param_arrays(trunk):

@@ -206,3 +206,10 @@ def test_gradcheck_subcommand(capsys):
     assert run("gradcheck", "--seed", "0") == 0
     out = capsys.readouterr().out
     assert "one-class loss" in out and "episodic loss" in out
+
+
+def test_gradcheck_subcommand_passes_at_relu_kink(capsys):
+    # a trunk pre-activation of this seed's episodic check lies within h of
+    # zero; the correct gradient there must not be reported as failed
+    assert run("gradcheck", "--seed", "6078018368569209128") == 0
+    assert "FAILED" not in capsys.readouterr().err

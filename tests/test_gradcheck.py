@@ -117,3 +117,56 @@ def test_oneclass_check_detects_corrupted_backward(monkeypatch):
 
     monkeypatch.setattr(svdd, "svdd_loss", corrupted)
     assert gc.check_oneclass(0) > 1e-4
+
+
+def test_relu_kink_within_h_is_scored_on_its_own_side():
+    # the kink sits 0.4h left of the point: the central difference reads 0.7,
+    # the forward one sees only the x > 0 piece and reads the true slope 1
+    h = 1e-4
+    p = np.array([0.4 * h])
+
+    def check(slope):
+        def loss_and_grad(params):
+            (x,) = params
+            return max(float(x[0]), 0.0), [np.array([slope])]
+
+        return grad_check(loss_and_grad, [p], h=h)
+
+    assert check(1.0) <= 1e-6
+    assert check(0.5) > 0.1
+    assert check(0.0) > 0.1
+
+
+def test_episodic_check_passes_at_relu_kink():
+    # query row 0, trunk unit 11 has pre-activation 1.8e-5 for this seed, so
+    # a 1e-5 step on W1[j, 11] crosses the kink
+    from ocmeta.gradcheck import check_episodic
+
+    assert check_episodic(6078018368569209128) <= 1e-4
+
+
+def test_lazy_gradients_are_evaluated_once_at_the_point():
+    p = np.array([1.0, -2.0, 0.5])
+    calls = []
+    thunk_points = []
+
+    def loss_and_grad(params):
+        (x,) = params
+        calls.append(x.copy())
+
+        def grads():
+            thunk_points.append(x.copy())
+            return [2.0 * x]
+
+        return float(np.sum(x * x)), grads
+
+    def eager(params):
+        (x,) = params
+        return float(np.sum(x * x)), [2.0 * x]
+
+    err = grad_check(loss_and_grad, [p], h=1e-4)
+    assert len(calls) == 2 * p.size + 1
+    assert len(thunk_points) == 1
+    assert np.array_equal(thunk_points[0], [1.0, -2.0, 0.5])
+    assert np.array_equal(p, [1.0, -2.0, 0.5])
+    assert err == grad_check(eager, [p], h=1e-4)

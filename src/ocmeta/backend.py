@@ -30,7 +30,8 @@ INV_2_53 = 1.0 / 9007199254740992.0
 
 _MULT = np.uint64(0x2545F4914F6CDD1D)
 
-# matmul: outputs of at most this many elements take the accumulate path.
+# matmul: outputs of at most this many elements (the whole stack) take the
+# accumulate path.
 # Accumulate costs ~5 ns per product (n*k*m of them) in a few NumPy calls;
 # the rank-1 loop costs k calls of ~1.7 us plus ~1 ns per output element.
 # The two break even near n*m = 320: 1x4096 @ 4096x64 runs ~6x faster
@@ -51,31 +52,40 @@ def active():
 
 
 def matmul(a, b, out):
-    """out = a @ b with the inner sum accumulated strictly in k order."""
-    n, kk = a.shape
-    m = b.shape[1]
-    if n * m == 0:
+    """out = a @ b with the inner sum accumulated strictly in k order.
+
+    a (..., n, k) and b (..., k, m) may be stacks of matrices with the same
+    leading shape; each product in the stack sums as a lone one would.
+    """
+    kk = a.shape[-1]
+    if out.size == 0:
         return
-    if n * m > _ACCUMULATE_MAX_OUT:
-        out[:] = 0.0
+    if kk == 1:
+        # one product per element; adding it to +0.0, as the loop below
+        # does, turns a -0.0 product into +0.0
+        np.multiply(a, b, out=out)
+        out += 0.0
+        return
+    if out.size > _ACCUMULATE_MAX_OUT:
+        out[...] = 0.0
         # rank-1 updates: each element adds one rounded product per k, in
         # k order
         for k in range(kk):
-            out += a[:, k : k + 1] * b[k : k + 1, :]
+            out += a[..., k : k + 1] * b[..., k : k + 1, :]
         return
-    # buf[:, 0] holds the running sum (0.0 at first, as in the rank-1
+    # buf[..., 0, :] holds the running sum (0.0 at first, as in the rank-1
     # loop); the k-block's products follow it, and accumulate adds them
     # to it one k at a time
-    step = _ACCUMULATE_BLOCK // (n * m) - 1
-    buf = np.empty((n, min(kk, step) + 1, m))
-    buf[:, 0, :] = 0.0
+    step = _ACCUMULATE_BLOCK // out.size - 1
+    buf = np.empty(out.shape[:-1] + (min(kk, step) + 1, out.shape[-1]))
+    buf[..., 0, :] = 0.0
     for k0 in range(0, kk, step):
         k1 = min(kk, k0 + step)
-        block = buf[:, : k1 - k0 + 1, :]
-        np.multiply(a[:, k0:k1, None], b[None, k0:k1, :], out=block[:, 1:, :])
-        np.add.accumulate(block, axis=1, out=block)
-        buf[:, 0, :] = block[:, -1, :]
-    out[:] = buf[:, 0, :]
+        block = buf[..., : k1 - k0 + 1, :]
+        np.multiply(a[..., k0:k1, None], b[..., None, k0:k1, :], out=block[..., 1:, :])
+        np.add.accumulate(block, axis=-2, out=block)
+        buf[..., 0, :] = block[..., -1, :]
+    out[...] = buf[..., 0, :]
 
 
 def _xorshift_steps(lanes, steps, out):

@@ -1,6 +1,6 @@
 """Dense float64 linear algebra with pinned reduction orders.
 
-Matrices are plain 2-D C-contiguous float64 ndarrays. Reductions that feed
+Matrices are plain 2-D float64 ndarrays. Reductions that feed
 results back into training are routed through here so every run sums in
 the same documented order.
 """
@@ -42,21 +42,19 @@ def matmul(a, b):
     """Matrix product with the inner sum accumulated left to right.
 
     The fixed order makes results bit-identical across runs; BLAS is
-    deliberately not used here.
+    deliberately not used here. Operands may be strided views (a `.T` is
+    not copied), or two 3-D stacks of matrices multiplied pairwise, each
+    product summed as a lone one would be.
     """
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError("matmul: operands must be 2-D")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul: inner dimensions differ ({a.shape[0]}x{a.shape[1]} @ "
-            f"{b.shape[0]}x{b.shape[1]})"
-        )
-    out = np.empty((a.shape[0], b.shape[1]))
-    backend.matmul(
-        np.ascontiguousarray(a, dtype=np.float64),
-        np.ascontiguousarray(b, dtype=np.float64),
-        out,
-    )
+    if a.ndim not in (2, 3) or b.ndim != a.ndim:
+        raise DimensionError("matmul: operands must both be 2-D, or both 3-D stacks")
+    if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
+        shapes = " @ ".join("x".join(map(str, x.shape)) for x in (a, b))
+        raise DimensionError(f"matmul: inner or stack dimensions differ ({shapes})")
+    out = np.empty(a.shape[:-1] + b.shape[-1:])
+    # an overflow is reported as a NumericError by ensure_finite below
+    with np.errstate(over="ignore", invalid="ignore"):
+        backend.matmul(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), out)
     ensure_finite(out, "matmul result")
     return out
 

@@ -155,17 +155,17 @@ def _infer_forward(pooled, phi):
 def _infer_backward(cache, phi, dout):
     x, g1, r1, g2, r2, _ = cache
     (v1, _), (v2, _), (v3, _) = phi.layers
-    dv3 = linalg.matmul(np.ascontiguousarray(r2.T), dout)
+    dv3 = linalg.matmul(r2.T, dout)
     dc3 = dout[0].copy()
-    dr2 = linalg.matmul(dout, np.ascontiguousarray(v3.T))
+    dr2 = linalg.matmul(dout, v3.T)
     dg2 = dr2 * (g2 > 0.0)
-    dv2 = linalg.matmul(np.ascontiguousarray(r1.T), dg2)
+    dv2 = linalg.matmul(r1.T, dg2)
     dc2 = dg2[0].copy()
-    dr1 = linalg.matmul(dg2, np.ascontiguousarray(v2.T))
+    dr1 = linalg.matmul(dg2, v2.T)
     dg1 = dr1 * (g1 > 0.0)
-    dv1 = linalg.matmul(np.ascontiguousarray(x.T), dg1)
+    dv1 = linalg.matmul(x.T, dg1)
     dc1 = dg1[0].copy()
-    dpooled = linalg.matmul(dg1, np.ascontiguousarray(v1.T))[0]
+    dpooled = linalg.matmul(dg1, v1.T)[0]
     return dpooled, [(dv1, dc1), (dv2, dc2), (dv3, dc3)]
 
 
@@ -348,8 +348,9 @@ def _episode_backward(c, trunk, phi):
 
     The weight gradients of all draws are one h_q^T @ [dz_1 ... dz_L] product
     and their column sums one colsum; each element keeps its own k-ordered
-    sum. dh_q, dcenter, dmu and dlv accumulate per draw in draw order (a
-    stacked L*latent-term dh_q sum would round differently).
+    sum. The per-draw dh_q products dz_l @ W_l^T are one stacked matmul.
+    dh_q, dcenter, dmu and dlv accumulate per draw in draw order (a single
+    L*latent-term dh_q sum would round differently).
     """
     posterior = c.posterior
     L, n_q, d = c.z.shape
@@ -362,12 +363,15 @@ def _episode_backward(c, trunk, phi):
     dz = (2.0 * dsq)[:, :, None] * (c.z - c.center)
     dz_all = dz.transpose(1, 0, 2).reshape(n_q, L * d)
     dz_colsum = linalg.colsum(dz_all)
-    dw_all = linalg.matmul(np.ascontiguousarray(c.h_q.T), dz_all)
+    dw_all = linalg.matmul(c.h_q.T, dz_all)
     # row l: draw l's flattened final-layer gradient (weights, then bias)
     dw_flat = dw_all.reshape(fd, L, d).transpose(1, 0, 2).reshape(L, fd * d)
     if posterior.final_bias:
         dw_flat = np.concatenate([dw_flat, dz_colsum.reshape(L, d)], axis=1)
     dlv_terms = dw_flat * c.eps * c.sigma * 0.5
+    # (L, d, fd): draw l's W_l^T
+    w_t = c.w_all.reshape(fd, L, d).transpose(1, 2, 0)
+    dh_parts = linalg.matmul(dz, w_t)
 
     dmu = np.zeros(n_flat)
     dlv = np.zeros(n_flat)
@@ -376,7 +380,7 @@ def _episode_backward(c, trunk, phi):
     for l in range(L):
         cols = slice(l * d, (l + 1) * d)
         dcenter -= dz_colsum[cols]
-        dh_q += linalg.matmul(dz[l], np.ascontiguousarray(c.w_all[:, cols].T))
+        dh_q += dh_parts[l]
         dmu += dw_flat[l]
         dlv += dlv_terms[l]
 
@@ -384,10 +388,10 @@ def _episode_backward(c, trunk, phi):
     # dcenter / ns
     ns = c.h_s.shape[0]
     dz_c = np.tile(dcenter / ns, (ns, 1))
-    dw_mu = linalg.matmul(np.ascontiguousarray(c.h_s.T), dz_c)
+    dw_mu = linalg.matmul(c.h_s.T, dz_c)
     db_mu = linalg.colsum(dz_c) if posterior.final_bias else None
     dmu += _flat_layer_grad(dw_mu, db_mu, posterior.final_bias)
-    dh_s = linalg.matmul(dz_c, np.ascontiguousarray(c.w_mu.T))
+    dh_s = linalg.matmul(dz_c, c.w_mu.T)
 
     # clamp: no gradient outside [LOGVAR_MIN, LOGVAR_MAX]
     lv_raw = c.inf_cache[5]

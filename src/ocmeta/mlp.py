@@ -86,11 +86,11 @@ def trunk_backward(hidden, cache, dout, need_dx=False):
     for k in range(len(hidden) - 1, -1, -1):
         a_prev, z = cache[k]
         dz = da * (z > 0.0)
-        dw = linalg.matmul(np.ascontiguousarray(a_prev.T), dz)
+        dw = linalg.matmul(a_prev.T, dz)
         db = linalg.colsum(dz)
         grads[k] = (dw, db)
         if k > 0 or need_dx:
-            da = linalg.matmul(dz, np.ascontiguousarray(hidden[k][0].T))
+            da = linalg.matmul(dz, hidden[k][0].T)
     dx = da if (need_dx and hidden) else (dout if need_dx else None)
     return grads, dx
 
@@ -123,9 +123,9 @@ def encode_backward(x, params, dlatent, need_dx=False, cache=None):
             f"encode_backward: upstream gradient shape {dlatent.shape} != "
             f"({x.shape[0]}, {params.latent_dim})"
         )
-    dfinal_w = linalg.matmul(np.ascontiguousarray(a_last.T), dlatent)
+    dfinal_w = linalg.matmul(a_last.T, dlatent)
     dfinal_b = linalg.colsum(dlatent) if params.final_b is not None else None
-    da = linalg.matmul(dlatent, np.ascontiguousarray(params.final_w.T))
+    da = linalg.matmul(dlatent, params.final_w.T)
     hidden_grads, dx = trunk_backward(params.hidden, trunk_cache, da, need_dx)
     return EncoderGrads(hidden=hidden_grads, final_w=dfinal_w, final_b=dfinal_b, x=dx)
 

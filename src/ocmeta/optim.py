@@ -33,7 +33,22 @@ class Adam:
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
+        # in place, in the operation order of
+        #   m = beta1 * m + (1 - beta1) * g
+        #   v = beta2 * v + (1 - beta2) * (g * g)
+        #   p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m[:] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[:] = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            t = np.multiply(g, 1.0 - self.beta1)
+            m *= self.beta1
+            m += t
+            np.multiply(g, g, out=t)
+            t *= 1.0 - self.beta2
+            v *= self.beta2
+            v += t
+            np.divide(v, bc2, out=t)
+            np.sqrt(t, out=t)
+            t += self.eps
+            step = np.divide(m, bc1)
+            step *= self.lr
+            step /= t
+            p -= step

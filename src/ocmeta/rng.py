@@ -69,12 +69,19 @@ class Rng:
         return self.u64() % n
 
     def permutation(self, n):
-        """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.below(i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        """Fisher-Yates permutation of range(n).
+
+        Swap i (from n - 1 down to 1) exchanges i with below(i + 1); the
+        n - 1 draws are taken from the stream in one vectorized call.
+        """
+        perm = list(range(n))
+        if n > 1:
+            states, self.state = backend._states(self.state, n - 1)
+            bounds = np.arange(n, 1, -1, dtype=np.uint64)
+            js = (states * backend._MULT) % bounds
+            for i, j in zip(range(n - 1, 0, -1), js.tolist()):
+                perm[i], perm[j] = perm[j], perm[i]
+        return np.array(perm, dtype=np.intp)
 
     def sample_indices(self, n, k):
         """k distinct indices from range(n), in draw order."""

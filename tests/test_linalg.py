@@ -73,12 +73,16 @@ def rank1_matmul(a, b):
 # sits on it, 17x9 @ 9x16 just past it), and k long
 # enough to cross its 2**15-element accumulate blocks (1x4096 @ 4096x64
 # runs in blocks of 511 k, 2x40000 @ 40000x1 in blocks of 16383 k), and
-# empty operands: no rows, no columns, an empty inner dimension
+# empty operands: no rows, no columns, an empty inner dimension; k = 1
+# outer products of both output sizes (64x1 @ 1x4096 is the inference
+# net's output-layer weight gradient)
 PARITY_SHAPES = [
     (0, 3, 2),
     (2, 3, 0),
     (2, 0, 3),
     (1, 1, 1),
+    (5, 1, 7),
+    (64, 1, 4096),
     (8, 16, 4),
     (1, 128, 16),
     (16, 40, 16),
@@ -101,10 +105,34 @@ def test_matmul_matches_rank1_loop_bitwise(shape):
         a[-1, ::2] = -0.0 if n > 1 else 0.0
     if m > 1:
         b[:, 0] = -0.0  # a column of -0 products
-    got = linalg.matmul(a, b)
     want = rank1_matmul(a, b)
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # C-contiguous operands, and transposed views of contiguous arrays
+    for x, y in ((a, b), (np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T)):
+        got = linalg.matmul(x, y)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 1, 4), (10, 20, 32, 64), (2, 1, 40, 3)])
+def test_stacked_matmul_matches_each_product(shape):
+    L, n, k, m = shape
+    rng = np.random.default_rng(L * 101 + k)
+    a = rng.standard_normal((L, n, k))
+    a[0, 0] = -0.0
+    b = rng.standard_normal((L, m, k)).transpose(0, 2, 1)  # strided stack
+    got = linalg.matmul(a, b)
+    assert got.shape == (L, n, m)
+    for l in range(L):
+        want = rank1_matmul(a[l], b[l])
+        assert np.array_equal(got[l], want)
+        assert np.array_equal(np.signbit(got[l]), np.signbit(want))
+
+
+def test_stacked_matmul_checks_shapes():
+    with pytest.raises(DimensionError):
+        linalg.matmul(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
+    with pytest.raises(DimensionError):
+        linalg.matmul(np.zeros((2, 3, 4)), np.zeros((4, 5)))
 
 
 def test_matmul_signed_zero_products_sum_to_plus_zero():

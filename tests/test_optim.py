@@ -82,3 +82,38 @@ def test_updates_multiple_params_in_place():
     opt.step([np.ones(2), np.zeros((2, 2))])
     assert a[0] != 1.0  # moved
     assert np.array_equal(b, np.ones((2, 2)))  # zero grad, fresh state
+
+
+def frozen_adam_steps(params, grads_per_step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Frozen reference: the allocating three-line update the in-place step
+    replaced, in the same operation order."""
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        bc1 = 1.0 - b1**t
+        bc2 = 1.0 - b2**t
+        for p, g, m, v in zip(params, grads, ms, vs):
+            m[:] = b1 * m + (1.0 - b1) * g
+            v[:] = b2 * v + (1.0 - b2) * (g * g)
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    return ms, vs
+
+
+def test_in_place_step_matches_frozen_update_bitwise():
+    rng = np.random.default_rng(11)
+    shapes = [(64, 32), (32,), (1, 4096)]
+    start = [rng.standard_normal(s) * np.exp(rng.uniform(-8, 8, s)) for s in shapes]
+    steps = [[rng.standard_normal(s) * np.exp(rng.uniform(-8, 8, s)) for s in shapes]
+             for _ in range(7)]
+    for g in steps[3]:
+        g.flat[::5] = 0.0
+        g.flat[1::7] = -0.0
+    params = [p.copy() for p in start]
+    opt = Adam(params, lr=1e-3)
+    for grads in steps:
+        opt.step([g.copy() for g in grads])
+    want = [p.copy() for p in start]
+    ms, vs = frozen_adam_steps(want, steps, lr=1e-3)
+    for got, ref in zip(params + opt.m + opt.v, want + ms + vs):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))

@@ -107,6 +107,27 @@ def test_permutation_is_a_permutation(n, seed):
     assert sorted(perm.tolist()) == list(range(n))
 
 
+def frozen_permutation(rng, n):
+    """Frozen reference: Fisher-Yates with one scalar u64 draw per swap."""
+    perm = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_permutation_matches_scalar_fisher_yates(seed):
+    r1, r2 = Rng(seed), Rng(seed)
+    for n in (0, 1, 2, 3, 200, 4097):
+        got = r1.permutation(n)
+        want = frozen_permutation(r2, n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert r1.state == r2.state
+    assert r1.u64() == r2.u64()
+
+
 def test_permutation_deterministic():
     assert np.array_equal(Rng(17).permutation(20), Rng(17).permutation(20))
 

@@ -1,18 +1,17 @@
 """Deterministic seedable random numbers.
 
 xorshift64* for the integer stream, the basic Box-Muller transform for
-normals. The algorithm is fixed so that a given seed produces the same
-stream everywhere; Gaussian matrix fills go through the vectorized kernel
-in `backend` and consume exactly the same stream as scalar draws (the
-Box-Muller spare is carried across calls).
+normals. The algorithm is fixed, and its log and sin/cos are built from
+correctly rounded arithmetic alone (no libm), so a given seed produces the
+same stream everywhere. Scalar draws and matrix fills both go through the
+vectorized kernel in `backend` and consume one stream (the Box-Muller
+spare is carried across calls).
 """
-
-from math import cos, log, sin, sqrt
 
 import numpy as np
 
 from . import backend
-from .backend import INV_2_53, TWO_PI
+from .backend import INV_2_53
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MULT = 0x2545F4914F6CDD1D
@@ -42,17 +41,12 @@ class Rng:
         return (self.u64() >> 11) * INV_2_53
 
     def gaussian(self):
-        if self._has_spare:
-            self._has_spare = False
-            return self._spare
-        r1 = self.u64()
-        r2 = self.u64()
-        u1 = ((r1 >> 11) + 1) * INV_2_53  # (0, 1]: log stays finite
-        u2 = (r2 >> 11) * INV_2_53
-        mag = sqrt(-2.0 * log(u1))
-        self._spare = mag * sin(TWO_PI * u2)
-        self._has_spare = True
-        return mag * cos(TWO_PI * u2)
+        """One standard normal draw: a one-element gaussian_matrix."""
+        out = np.empty(1)
+        self.state, self._has_spare, self._spare = backend.gaussian_fill(
+            self.state, self._has_spare, self._spare, out
+        )
+        return float(out[0])
 
     def gaussian_matrix(self, rows, cols):
         """rows x cols matrix of standard normal draws (kernel-backed)."""

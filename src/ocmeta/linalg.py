@@ -38,23 +38,37 @@ def ensure_finite(a, what):
     return a
 
 
+# an overflow inside the kernel is reported by ensure_finite as a
+# NumericError, not also as a RuntimeWarning
+@np.errstate(over="ignore", invalid="ignore")
 def matmul(a, b):
     """Matrix product with the inner sum accumulated left to right.
 
     The fixed order makes results bit-identical across runs; BLAS is
-    deliberately not used here. Operands may be strided views (a `.T` is
-    not copied), or two 3-D stacks of matrices multiplied pairwise, each
-    product summed as a lone one would be.
+    deliberately not used here. Operands may be strided views: a `.T` need
+    not be copied.
     """
-    if a.ndim not in (2, 3) or b.ndim != a.ndim:
-        raise DimensionError("matmul: operands must both be 2-D, or both 3-D stacks")
-    if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
-        shapes = " @ ".join("x".join(map(str, x.shape)) for x in (a, b))
-        raise DimensionError(f"matmul: inner or stack dimensions differ ({shapes})")
-    out = np.empty(a.shape[:-1] + b.shape[-1:])
-    # an overflow is reported as a NumericError by ensure_finite below
-    with np.errstate(over="ignore", invalid="ignore"):
-        backend.matmul(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), out)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionError("matmul: operands must be 2-D")
+    if a.shape[1] != b.shape[0]:
+        raise DimensionError(
+            f"matmul: inner dimensions differ ({a.shape[0]}x{a.shape[1]} @ "
+            f"{b.shape[0]}x{b.shape[1]})"
+        )
+    out = np.empty((a.shape[0], b.shape[1]))
+    backend.matmul(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), out)
+    ensure_finite(out, "matmul result")
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def matmul_stack(a, b):
+    """out[l] = a[l] @ b[l] for two 3-D stacks of matrices, each product
+    summed as matmul sums it."""
+    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+        raise DimensionError(f"matmul_stack: cannot multiply stacks {a.shape} @ {b.shape}")
+    out = np.empty((a.shape[0], a.shape[1], b.shape[2]))
+    backend.matmul(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), out)
     ensure_finite(out, "matmul result")
     return out
 

@@ -371,7 +371,7 @@ def _episode_backward(c, trunk, phi):
     dlv_terms = dw_flat * c.eps * c.sigma * 0.5
     # (L, d, fd): draw l's W_l^T
     w_t = c.w_all.reshape(fd, L, d).transpose(1, 2, 0)
-    dh_parts = linalg.matmul(dz, w_t)
+    dh_parts = linalg.matmul_stack(dz, w_t)
 
     dmu = np.zeros(n_flat)
     dlv = np.zeros(n_flat)

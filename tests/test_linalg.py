@@ -120,7 +120,7 @@ def test_stacked_matmul_matches_each_product(shape):
     a = rng.standard_normal((L, n, k))
     a[0, 0] = -0.0
     b = rng.standard_normal((L, m, k)).transpose(0, 2, 1)  # strided stack
-    got = linalg.matmul(a, b)
+    got = linalg.matmul_stack(a, b)
     assert got.shape == (L, n, m)
     for l in range(L):
         want = rank1_matmul(a[l], b[l])
@@ -130,9 +130,13 @@ def test_stacked_matmul_matches_each_product(shape):
 
 def test_stacked_matmul_checks_shapes():
     with pytest.raises(DimensionError):
-        linalg.matmul(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
+        linalg.matmul_stack(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
     with pytest.raises(DimensionError):
-        linalg.matmul(np.zeros((2, 3, 4)), np.zeros((4, 5)))
+        linalg.matmul_stack(np.zeros((2, 3, 4)), np.zeros((2, 5, 4)))
+    with pytest.raises(DimensionError):
+        linalg.matmul_stack(np.zeros((2, 3, 4)), np.zeros((4, 5)))
+    with pytest.raises(DimensionError):
+        linalg.matmul(np.zeros((2, 3, 4)), np.zeros((2, 4, 5)))
 
 
 def test_matmul_signed_zero_products_sum_to_plus_zero():

@@ -133,13 +133,13 @@ def test_log_is_within_two_ulps_of_libm():
     grid = (np.random.default_rng(5).integers(0, 2**53, 10_000) + 1) * 2.0**-53
     u = np.concatenate([edges, grid])
     want = [math.log(x) for x in u]
-    assert ulps(backend._log_unit(u.copy()), want).max() <= 2
+    assert ulps(backend._log_unit(u), want).max() <= 2
 
 
 def test_sincos_is_within_two_ulps_of_libm_on_the_reduced_angle():
     # u2 as the fill makes it: k * 2**-53 for k < 2**53; the edges sit on,
     # and either side of, the quadrant boundaries and the reduction's ties
-    edges = [k / 8 + d * 2.0**-53 for k in range(8) for d in (-1, 0, 1)]
+    edges = [k / 8 + d * 2.0**-53 for k in range(9) for d in (-1, 0, 1)]
     grid = np.random.default_rng(6).integers(0, 2**53, 10_000) * 2.0**-53
     u = np.concatenate([[x for x in edges if 0.0 <= x < 1.0], grid])
     q, y = backend._reduce_turns(u)

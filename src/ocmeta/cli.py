@@ -1,13 +1,20 @@
 """Command-line interface.
 
 Subcommands: synth, train-oc, score, train-meta, adapt-score, eval-loo,
-gradcheck. Hyperparameters may come from a `key = value` config file
-(--config); explicit flags override file values. Exit codes: 0 success,
-1 usage/config error, 2 data or numeric error.
+gradcheck. `_OPTIONS` declares each option once (type, config field, help)
+and `_COMMAND_OPTIONS` names the options of each subcommand; the parser's
+flags are generated from the two. Every subcommand but score also reads a
+`key = value` config file (--config); explicit flags override file values,
+and center_floor is set from a config file only. The CLI passes only the
+values a user set, so the defaults are those of svdd.TrainConfig,
+meta.MetaConfig and synth.SynthConfig. Exit codes: 0 success, 1 usage or
+config error, 2 data or numeric error.
 """
 
 import argparse
+import dataclasses
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,86 +40,76 @@ def _bool(raw):
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-# config-file keys each subcommand accepts, with their types
-_CONFIG_KEYS = {
-    "synth": {"tasks": int, "dim": int, "per_class": int, "sep": float, "seed": int},
-    "train-oc": {
-        "seed": int,
-        "latent": int,
-        "epochs": int,
-        "lr": float,
-        "batch": int,
-        "center_floor": float,
-    },
-    "score": {},
-    "train-meta": {
-        "seed": int,
-        "latent": int,
-        "lr": float,
-        "L": int,
-        "meta_batch": int,
-        "eta": float,
-        "support": int,
-        "steps": int,
-        "holdout": str,
-    },
-    "adapt-score": {"seed": int, "support": int},
-    "eval-loo": {
-        "seed": int,
-        "latent": int,
-        "epochs": int,
-        "lr": float,
-        "batch": int,
-        "center_floor": float,
-        "L": int,
-        "meta_batch": int,
-        "eta": float,
-        "support": int,
-        "steps": int,
-        "shared_meta": _bool,
-    },
-    "gradcheck": {"seed": int},
+# type: parses a flag or config value; field: the TrainConfig / MetaConfig /
+# SynthConfig field the option sets, or None; help: the flag's help, or None
+# for an option set from a config file only
+_Option = namedtuple("_Option", "type field help")
+
+_OPTIONS = {
+    "seed": _Option(int, "seed", "random seed"),
+    "latent": _Option(int, "latent_dim", "latent dimension"),
+    "epochs": _Option(int, "epochs", "one-class training epochs"),
+    "lr": _Option(float, "lr", "Adam learning rate"),
+    "batch": _Option(int, "batch_size", "one-class minibatch size"),
+    "center_floor": _Option(float, "center_floor", None),
+    "L": _Option(int, "posterior_samples", "posterior samples per episode"),
+    "meta_batch": _Option(int, "meta_batch", "tasks per meta-training step"),
+    "eta": _Option(float, "eta", "weight of the out-of-distribution repulsion"),
+    "support": _Option(int, "support_size", "support rows per task"),
+    "steps": _Option(int, "meta_steps", "meta-training steps"),
+    "holdout": _Option(str, None, "comma-separated task ids to exclude"),
+    "shared_meta": _Option(
+        _bool, None, "meta-train once on all tasks (fast, non-faithful smoke mode)"
+    ),
+    "tasks": _Option(int, "n_tasks", "number of tasks"),
+    "dim": _Option(int, "dim", "feature dimension"),
+    "per_class": _Option(int, "samples_per_class", "rows per class in each task"),
+    "sep": _Option(float, "separation", "distance between cluster means"),
 }
 
-_DEFAULTS = {
-    "seed": 0,
-    "latent": 32,
-    "epochs": 100,
-    "lr": 1e-4,
-    "batch": 64,
-    "center_floor": 0.1,
-    "L": 10,
-    "meta_batch": 5,
-    "eta": 1.0,
-    "support": 10,
-    "steps": 500,
-    "holdout": "",
-    "shared_meta": False,
-    "tasks": 8,
-    "dim": 16,
-    "per_class": 200,
-    "sep": 6.0,
+# the options each subcommand takes; one that takes any also takes --config
+_COMMAND_OPTIONS = {
+    "synth": ("tasks", "dim", "per_class", "sep", "seed"),
+    "train-oc": ("latent", "epochs", "lr", "batch", "center_floor", "seed"),
+    "score": (),
+    "train-meta": (
+        "latent", "lr", "L", "meta_batch", "eta", "support", "steps", "holdout", "seed",
+    ),
+    "adapt-score": ("support", "seed"),
+    "eval-loo": (
+        "latent", "epochs", "lr", "batch", "center_floor",
+        "L", "meta_batch", "eta", "support", "steps", "shared_meta", "seed",
+    ),
+    "gradcheck": ("seed",),
 }
 
 
-def _resolve(args, command):
-    """Effective option values: defaults, then config file, then flags."""
-    keys = _CONFIG_KEYS[command]
-    values = {k: _DEFAULTS[k] for k in keys}
+def _resolve(args):
+    """The options the user set: config file values, overridden by flags."""
+    names = _COMMAND_OPTIONS[args.command]
+    values = {}
     config_path = getattr(args, "config", None)
     if config_path:
         for key, raw in parse_config(config_path).items():
-            if key not in keys:
-                raise ConfigError(f"{config_path}: unknown key {key!r} for {command}")
+            if key not in names:
+                raise ConfigError(f"{config_path}: unknown key {key!r} for {args.command}")
             try:
-                values[key] = keys[key](raw)
+                values[key] = _OPTIONS[key].type(raw)
             except ValueError as e:
                 raise ConfigError(f"{config_path}: key {key!r}: {e}") from None
-    for key in keys:
-        flag = getattr(args, key, None)
+    for name in names:
+        flag = getattr(args, name, None)
         if flag is not None:
-            values[key] = flag
+            values[name] = flag
     return values
+
+
+def _config(cls, values):
+    """cls from the user-set values of its fields; cls declares the defaults."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{
+        _OPTIONS[k].field: v for k, v in values.items() if _OPTIONS[k].field in fields
+    })
 
 
 def _write_scores(out, scores):
@@ -124,49 +121,18 @@ def _write_scores(out, scores):
         sys.stdout.write(lines)
 
 
-def _train_config(v):
-    return svdd.TrainConfig(
-        batch_size=v["batch"],
-        lr=v["lr"],
-        epochs=v["epochs"],
-        latent_dim=v["latent"],
-        seed=v["seed"],
-        center_floor=v["center_floor"],
-    )
-
-
-def _meta_config(v):
-    return meta.MetaConfig(
-        posterior_samples=v["L"],
-        meta_batch=v["meta_batch"],
-        eta=v["eta"],
-        support_size=v["support"],
-        lr=v["lr"],
-        meta_steps=v["steps"],
-        seed=v["seed"],
-        latent_dim=v["latent"],
-    )
-
-
 def _cmd_synth(args):
-    v = _resolve(args, "synth")
-    config = SynthConfig(
-        n_tasks=v["tasks"],
-        dim=v["dim"],
-        samples_per_class=v["per_class"],
-        separation=v["sep"],
-        seed=v["seed"],
-    )
+    config = _config(SynthConfig, _resolve(args))
     paths = generate_synthetic(config, args.out)
     print(f"wrote {len(paths)} task files to {args.out}")
     return EXIT_OK
 
 
 def _cmd_train_oc(args):
-    v = _resolve(args, "train-oc")
+    v = _resolve(args)
     task = load_task(args.data)
     features = task.features[task.labels == 1]
-    model, losses = svdd.train_svdd(features, _train_config(v))
+    model, losses = svdd.train_svdd(features, _config(svdd.TrainConfig, v))
     model_io.save_model(args.out, model.params, model.config, model.center)
     print(
         f"trained on {features.shape[0]} in-distribution rows; "
@@ -186,16 +152,16 @@ def _cmd_score(args):
 
 
 def _cmd_train_meta(args):
-    v = _resolve(args, "train-meta")
+    v = _resolve(args)
     tasks = load_task_dir(args.data)
-    holdout = tuple(h for h in v["holdout"].split(",") if h)
+    holdout = tuple(h for h in v.get("holdout", "").split(",") if h)
     unknown = sorted(set(holdout) - {t.task_id for t in tasks})
     if unknown:
         raise ConfigError(
             f"--holdout names unknown task ids {', '.join(map(repr, unknown))} "
             f"(not in {args.data})"
         )
-    config = _meta_config(v)
+    config = _config(meta.MetaConfig, v)
     trunk, phi, log = meta.meta_train(tasks, holdout, config)
     enc_config = mlp.EncoderConfig(
         input_dim=tasks[0].features.shape[1],
@@ -204,21 +170,21 @@ def _cmd_train_meta(args):
     )
     model_io.save_meta_model(args.out, trunk, enc_config, phi.layers)
     print(
-        f"meta-trained on {len(tasks) - len(set(holdout))} tasks for {v['steps']} steps; "
-        f"final step loss {log[-1]:.6f}; model -> {args.out}"
+        f"meta-trained on {len(tasks) - len(set(holdout))} tasks for "
+        f"{config.meta_steps} steps; final step loss {log[-1]:.6f}; model -> {args.out}"
     )
     return EXIT_OK
 
 
 def _cmd_adapt_score(args):
-    v = _resolve(args, "adapt-score")
-    trunk, config, layers = model_io.load_meta_model(args.model)
+    config = _config(meta.MetaConfig, _resolve(args))
+    trunk, enc_config, layers = model_io.load_meta_model(args.model)
     phi = meta.InferenceNetParams(
-        layers=layers, latent_dim=config.latent_dim, final_bias=config.final_bias
+        layers=layers, latent_dim=enc_config.latent_dim, final_bias=enc_config.final_bias
     )
     task = load_task(args.data)
     support_idx, rest_idx = draw_support(
-        task, v["support"], task_seed(v["seed"], task.task_id, "support")
+        task, config.support_size, task_seed(config.seed, task.task_id, "support")
     )
     scores = meta.adapt_and_score(
         task.features[support_idx], task.features[rest_idx], trunk, phi
@@ -228,13 +194,13 @@ def _cmd_adapt_score(args):
 
 
 def _cmd_eval_loo(args):
-    v = _resolve(args, "eval-loo")
+    v = _resolve(args)
     rows = eval_loo(
         args.data,
-        _train_config(v),
-        _meta_config(v),
+        _config(svdd.TrainConfig, v),
+        _config(meta.MetaConfig, v),
         out_path=args.out,
-        shared_meta=v["shared_meta"],
+        shared_meta=v.get("shared_meta", False),
     )
     for task_id, oc, mt in rows:
         print(f"{task_id}: oc {oc:.4f}  meta {mt:.4f}")
@@ -247,9 +213,9 @@ def _cmd_eval_loo(args):
 
 
 def _cmd_gradcheck(args):
-    v = _resolve(args, "gradcheck")
-    err_oc = gradcheck_mod.check_oneclass(v["seed"])
-    err_meta = gradcheck_mod.check_episodic(v["seed"])
+    seed = _resolve(args).get("seed", 0)
+    err_oc = gradcheck_mod.check_oneclass(seed)
+    err_meta = gradcheck_mod.check_episodic(seed)
     print(f"one-class loss: max relative gradient error {err_oc:.3e}")
     print(f"episodic loss:  max relative gradient error {err_meta:.3e}")
     if err_oc <= 1e-4 and err_meta <= 1e-4:
@@ -258,11 +224,20 @@ def _cmd_gradcheck(args):
     return EXIT_DATA
 
 
-def _add_common(p, *names):
-    if "config" in names:
+def _add_options(p, command):
+    """--config and the flags of command's options, from the table."""
+    options = _COMMAND_OPTIONS[command]
+    if options:
         p.add_argument("--config", help="key = value config file")
-    if "seed" in names:
-        p.add_argument("--seed", type=int)
+    for key in options:
+        option = _OPTIONS[key]
+        if option.help is None:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if option.type is _bool:
+            p.add_argument(flag, dest=key, action="store_const", const=True, help=option.help)
+        else:
+            p.add_argument(flag, dest=key, type=option.type, help=option.help)
 
 
 def build_parser():
@@ -275,21 +250,11 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate synthetic Gaussian-cluster tasks")
     p.add_argument("--out", required=True, help="output task directory")
-    p.add_argument("--tasks", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--per-class", dest="per_class", type=int)
-    p.add_argument("--sep", type=float)
-    _add_common(p, "config", "seed")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train-oc", help="train a one-class model on a task file")
     p.add_argument("--data", required=True, help="task file")
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--latent", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    _add_common(p, "config", "seed")
     p.set_defaults(func=_cmd_train_oc)
 
     p = sub.add_parser("score", help="score a task file with a trained model")
@@ -301,51 +266,24 @@ def build_parser():
     p = sub.add_parser("train-meta", help="meta-train across a task directory")
     p.add_argument("--data", required=True, help="task directory")
     p.add_argument("--out", required=True, help="meta-model file to write")
-    p.add_argument("--latent", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--L", dest="L", type=int, help="posterior samples per episode")
-    p.add_argument("--meta-batch", dest="meta_batch", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--support", type=int)
-    p.add_argument("--steps", type=int, help="meta-training steps")
-    p.add_argument("--holdout", help="comma-separated task ids to exclude")
-    _add_common(p, "config", "seed")
     p.set_defaults(func=_cmd_train_meta)
 
     p = sub.add_parser("adapt-score", help="few-shot adapt and score a task file")
     p.add_argument("--model", required=True, help="meta-model file")
     p.add_argument("--data", required=True, help="task file")
     p.add_argument("--out", help="scores file (default: stdout)")
-    p.add_argument("--support", type=int)
-    _add_common(p, "config", "seed")
     p.set_defaults(func=_cmd_adapt_score)
 
     p = sub.add_parser("eval-loo", help="leave-one-out evaluation over a task dir")
     p.add_argument("--data", required=True, help="task directory")
     p.add_argument("--out", help="results file to write")
-    p.add_argument("--latent", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--L", dest="L", type=int)
-    p.add_argument("--meta-batch", dest="meta_batch", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--support", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument(
-        "--shared-meta",
-        dest="shared_meta",
-        action="store_const",
-        const=True,
-        help="meta-train once on all tasks (fast, non-faithful smoke mode)",
-    )
-    _add_common(p, "config", "seed")
     p.set_defaults(func=_cmd_eval_loo)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients of both losses")
-    _add_common(p, "config", "seed")
     p.set_defaults(func=_cmd_gradcheck)
 
+    for command, p in sub.choices.items():
+        _add_options(p, command)
     return parser
 
 

@@ -17,10 +17,9 @@ from .data import load_task_dir
 from .errors import DataError, OcmetaError
 from .meta import adapt_and_score, meta_train
 from .metrics import auc
-from .rng import Rng
+from .rng import MASK64, Rng
 from .svdd import score, train_svdd
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
@@ -29,13 +28,13 @@ def stable_hash(text):
     """FNV-1a over the UTF-8 bytes; fixed across platforms and runs."""
     h = _FNV_OFFSET
     for byte in text.encode("utf-8"):
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+        h = ((h ^ byte) * _FNV_PRIME) & MASK64
     return h
 
 
 def task_seed(base_seed, task_id, role):
     """Per-task, per-role seed: base seed plus a stable hash of both."""
-    return (int(base_seed) + stable_hash(f"{role}:{task_id}")) & _MASK64
+    return (int(base_seed) + stable_hash(f"{role}:{task_id}")) & MASK64
 
 
 def draw_support(task, support_size, seed):

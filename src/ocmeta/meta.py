@@ -402,8 +402,8 @@ def _episode_backward(c, trunk, phi):
     # pooled = colmean(h_s): every support row sees dpooled / ns
     dh_s = dh_s + np.tile(dpooled / ns, (ns, 1))
 
-    gs, _ = mlp.trunk_backward(trunk, c.cache_s, dh_s)
-    gq, _ = mlp.trunk_backward(trunk, c.cache_q, dh_q)
+    gs = mlp.trunk_backward(trunk, c.cache_s, dh_s)
+    gq = mlp.trunk_backward(trunk, c.cache_q, dh_q)
     trunk_grads = [(a[0] + b[0], a[1] + b[1]) for a, b in zip(gs, gq)]
     return trunk_grads, phi_grads
 
@@ -460,7 +460,7 @@ def init_trunk(input_dim, hidden_dims, rng):
     return trunk, fan_in
 
 
-def meta_train(tasks, holdout_ids, config, hidden_dims=(64,), final_bias=False):
+def meta_train(tasks, holdout_ids, config, hidden_dims=(64,)):
     """Meta-train (trunk, inference net) over a task pool.
 
     Each step draws meta_batch tasks (holdouts excluded), evaluates one
@@ -481,9 +481,7 @@ def meta_train(tasks, holdout_ids, config, hidden_dims=(64,), final_bias=False):
 
     rng = Rng(config.seed)
     trunk, feat_dim = init_trunk(input_dim, hidden_dims, rng)
-    phi = init_inference_net(
-        feat_dim, config.latent_dim, config.inference_hidden, final_bias, rng
-    )
+    phi = init_inference_net(feat_dim, config.latent_dim, config.inference_hidden, rng=rng)
     params = trunk_param_arrays(trunk) + phi_param_arrays(phi)
     opt = Adam(params, lr=config.lr)
 
@@ -500,14 +498,7 @@ def meta_train(tasks, holdout_ids, config, hidden_dims=(64,), final_bias=False):
         for task_id in chosen:
             ep = sample_episode(pool_map, task_id, rng, config)
             loss, tg, pg = episode_loss(ep, trunk, phi, config, rng)
-            flat = []
-            for dw, db in tg:
-                flat.append(dw)
-                flat.append(db)
-            for dw, db in pg:
-                flat.append(dw)
-                flat.append(db)
-            for acc, g in zip(accum, flat):
+            for acc, g in zip(accum, [g for pair in tg + pg for g in pair]):
                 acc += g
             step_loss += loss
         opt.step(accum)
@@ -515,33 +506,21 @@ def meta_train(tasks, holdout_ids, config, hidden_dims=(64,), final_bias=False):
     return trunk, phi, log
 
 
-def adapt_and_score(support, queries, trunk, phi, posterior_samples=0, rng=None):
+def adapt_and_score(support, queries, trunk, phi):
     """Few-shot scoring of queries against a support set; no training.
 
-    Default mode scores with the posterior-mean final layer and the mean
-    support latent as center, deterministically. posterior_samples > 0
-    averages the scores of that many sampled final layers instead (each with
-    its own support-derived center).
+    Scores with the posterior-mean final layer and the mean support latent
+    as center, deterministically.
     """
     if support.shape[0] < 1:
         raise DataError("adapt_and_score: empty support set")
     h_s, _ = mlp.trunk_forward(support, trunk)
     posterior = _pooled_posterior(h_s, phi)
     h_q, _ = mlp.trunk_forward(queries, trunk)
-
-    def one(w, b):
-        z_s = linalg.matmul(h_s, w)
-        z_q = linalg.matmul(h_q, w)
-        if b is not None:
-            z_s = z_s + b
-            z_q = z_q + b
-        return linalg.row_sqdist(z_q, linalg.colmean_exact(z_s))
-
-    if posterior_samples == 0:
-        w, b = posterior.mean_layer()
-        return one(w, b)
-    total = np.zeros(queries.shape[0])
-    for _ in range(posterior_samples):
-        w, b = sample_final_layer(posterior, rng)
-        total += one(w, b)
-    return total / posterior_samples
+    w, b = posterior.mean_layer()
+    z_s = linalg.matmul(h_s, w)
+    z_q = linalg.matmul(h_q, w)
+    if b is not None:
+        z_s = z_s + b
+        z_q = z_q + b
+    return linalg.row_sqdist(z_q, linalg.colmean_exact(z_s))

@@ -51,7 +51,6 @@ class EncoderGrads:
     hidden: list = field(default_factory=list)
     final_w: np.ndarray = None
     final_b: np.ndarray = None
-    x: np.ndarray = None
 
 
 def init_params(config, rng):
@@ -79,8 +78,9 @@ def trunk_forward(x, hidden):
     return a, cache
 
 
-def trunk_backward(hidden, cache, dout, need_dx=False):
-    """Gradients of the hidden stack given d(loss)/d(activations)."""
+def trunk_backward(hidden, cache, dout):
+    """Gradients of the hidden stack given d(loss)/d(activations): a list of
+    (dW, db) per layer."""
     grads = [None] * len(hidden)
     da = dout
     for k in range(len(hidden) - 1, -1, -1):
@@ -89,10 +89,9 @@ def trunk_backward(hidden, cache, dout, need_dx=False):
         dw = linalg.matmul(a_prev.T, dz)
         db = linalg.colsum(dz)
         grads[k] = (dw, db)
-        if k > 0 or need_dx:
+        if k > 0:
             da = linalg.matmul(dz, hidden[k][0].T)
-    dx = da if (need_dx and hidden) else (dout if need_dx else None)
-    return grads, dx
+    return grads
 
 
 def encode_with_cache(x, params):
@@ -113,8 +112,8 @@ def encode(x, params):
     return z
 
 
-def encode_backward(x, params, dlatent, need_dx=False, cache=None):
-    """Analytic gradients of encode w.r.t. all parameters (and optionally x)."""
+def encode_backward(x, params, dlatent, cache=None):
+    """Analytic gradients of encode w.r.t. all parameters."""
     if cache is None:
         _, cache = encode_with_cache(x, params)
     a_last, trunk_cache = cache
@@ -126,8 +125,8 @@ def encode_backward(x, params, dlatent, need_dx=False, cache=None):
     dfinal_w = linalg.matmul(a_last.T, dlatent)
     dfinal_b = linalg.colsum(dlatent) if params.final_b is not None else None
     da = linalg.matmul(dlatent, params.final_w.T)
-    hidden_grads, dx = trunk_backward(params.hidden, trunk_cache, da, need_dx)
-    return EncoderGrads(hidden=hidden_grads, final_w=dfinal_w, final_b=dfinal_b, x=dx)
+    hidden_grads = trunk_backward(params.hidden, trunk_cache, da)
+    return EncoderGrads(hidden=hidden_grads, final_w=dfinal_w, final_b=dfinal_b)
 
 
 def param_arrays(params):

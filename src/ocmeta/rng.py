@@ -13,7 +13,7 @@ import numpy as np
 from . import backend
 from .backend import INV_2_53
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
+MASK64 = 0xFFFFFFFFFFFFFFFF
 _MULT = 0x2545F4914F6CDD1D
 # replacement for the all-zero state, on which xorshift is a fixed point
 _ZERO_SEED = 0x9E3779B97F4A7C15
@@ -21,7 +21,7 @@ _ZERO_SEED = 0x9E3779B97F4A7C15
 
 class Rng:
     def __init__(self, seed):
-        self.state = int(seed) & _MASK64
+        self.state = int(seed) & MASK64
         if self.state == 0:
             self.state = _ZERO_SEED
         self._spare = 0.0
@@ -31,10 +31,10 @@ class Rng:
         # xorshift64*: shift/xor state update, multiplicative output scramble
         s = self.state
         s ^= s >> 12
-        s ^= (s << 25) & _MASK64
+        s ^= (s << 25) & MASK64
         s ^= s >> 27
         self.state = s
-        return (s * _MULT) & _MASK64
+        return (s * _MULT) & MASK64
 
     def uniform(self):
         # top 53 bits -> [0, 1)
@@ -79,4 +79,6 @@ class Rng:
 
     def sample_indices(self, n, k):
         """k distinct indices from range(n), in draw order."""
+        if not 0 <= k <= n:
+            raise ValueError(f"sample_indices: cannot draw {k} of {n}")
         return self.permutation(n)[:k]

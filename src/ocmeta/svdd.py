@@ -15,8 +15,6 @@ from .errors import ConfigError, DataError, NumericError
 from .optim import Adam
 from .rng import Rng
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
 
 @dataclass
 class TrainConfig:
@@ -98,7 +96,7 @@ def train_svdd(features, config, encoder_config=None):
     with_bias = params.final_b is not None
     losses = []
     for epoch in range(config.epochs):
-        perm = Rng((config.seed + epoch) & _MASK64).permutation(n)
+        perm = Rng(config.seed + epoch).permutation(n)
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, n, config.batch_size):

@@ -21,10 +21,10 @@ _PLACEMENT_ATTEMPTS = 10_000
 
 @dataclass
 class SynthConfig:
-    n_tasks: int
-    dim: int
-    samples_per_class: int
-    separation: float  # distance between cluster means, in cluster-std units
+    n_tasks: int = 8
+    dim: int = 16
+    samples_per_class: int = 200
+    separation: float = 6.0  # distance between cluster means, in cluster-std units
     seed: int = 0
 
     def __post_init__(self):

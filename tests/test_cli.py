@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ocmeta import cli
+from ocmeta import cli, svdd
 
 
 def run(*argv):
@@ -172,6 +172,94 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", list(cli._COMMAND_OPTIONS))
+def test_subcommand_help_exits_zero(command, capsys):
+    assert run(command, "--help") == 0
+    assert f"usage: ocmeta {command}" in capsys.readouterr().out
+
+
+# every flag of every subcommand; center_floor is a config-file key only
+FLAGS = {
+    "synth": {"--out", "--config", "--tasks", "--dim", "--per-class", "--sep", "--seed"},
+    "train-oc": {
+        "--data", "--out", "--config", "--latent", "--epochs", "--lr", "--batch", "--seed",
+    },
+    "score": {"--model", "--data", "--out"},
+    "train-meta": {
+        "--data", "--out", "--config", "--latent", "--lr", "--L", "--meta-batch",
+        "--eta", "--support", "--steps", "--holdout", "--seed",
+    },
+    "adapt-score": {"--model", "--data", "--out", "--config", "--support", "--seed"},
+    "eval-loo": {
+        "--data", "--out", "--config", "--latent", "--epochs", "--lr", "--batch", "--L",
+        "--meta-batch", "--eta", "--support", "--steps", "--shared-meta", "--seed",
+    },
+    "gradcheck": {"--config", "--seed"},
+}
+# the file arguments each subcommand requires
+PATHS = {
+    "synth": ["--out", "o"],
+    "train-oc": ["--data", "d", "--out", "o"],
+    "score": ["--model", "m", "--data", "d"],
+    "train-meta": ["--data", "d", "--out", "o"],
+    "adapt-score": ["--model", "m", "--data", "d"],
+    "eval-loo": ["--data", "d"],
+    "gradcheck": [],
+}
+
+
+def subparsers():
+    parser = cli.build_parser()
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return action.choices
+
+
+def test_each_subcommand_has_its_flags():
+    got = {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in subparsers().items()
+    }
+    assert got == FLAGS
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [
+        (command, option)
+        for command, options in cli._COMMAND_OPTIONS.items()
+        for option in options
+        if cli._OPTIONS[option].help is not None
+    ],
+)
+def test_flag_and_config_file_resolve_alike(command, option, tmp_path):
+    parser = cli.build_parser()
+    kind = cli._OPTIONS[option].type
+    flag = "--" + option.replace("_", "-")
+    raw = {int: "3", float: "0.5", str: "task1"}.get(kind, "true")
+    flag_argv = [flag] if kind is cli._bool else [flag, raw]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{option} = {raw}\n")
+    by_flag = cli._resolve(parser.parse_args([command, *PATHS[command], *flag_argv]))
+    by_file = cli._resolve(
+        parser.parse_args([command, *PATHS[command], "--config", str(cfg)])
+    )
+    assert by_flag == by_file == {option: kind(raw)}
+    assert type(by_flag[option]) is type(by_file[option])
+
+
+def test_center_floor_is_set_from_a_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("center-floor = 0.25\n")
+    args = cli.build_parser().parse_args(["train-oc", *PATHS["train-oc"], "--config", str(cfg)])
+    assert cli._config(svdd.TrainConfig, cli._resolve(args)).center_floor == 0.25
+
+
+@pytest.mark.parametrize("command", list(cli._COMMAND_OPTIONS))
+def test_unset_options_are_left_to_the_config_defaults(command):
+    args = cli.build_parser().parse_args([command, *PATHS[command]])
+    assert cli._resolve(args) == {}
+
+
 def test_malformed_data_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("2,1.0\n")
@@ -200,6 +288,20 @@ def test_impossible_synth_exits_one(tmp_path):
         "synth", "--out", str(tmp_path / "d"), "--tasks", "1", "--dim", "4",
         "--per-class", "5", "--sep", "4",
     ) == 1
+
+
+@pytest.mark.parametrize("support", ["-1", "0"])
+def test_adapt_score_support_below_one_exits_one(support, task_dir, tmp_path, capsys):
+    model = tmp_path / "meta.bin"
+    assert run("train-meta", "--data", str(task_dir), "--out", str(model), *META_FLAGS) == 0
+    capsys.readouterr()
+    out = tmp_path / "scores.txt"
+    assert run(
+        "adapt-score", "--model", str(model), "--data", str(task_dir / "task1.csv"),
+        "--out", str(out), "--support", support,
+    ) == 1
+    assert "support_size must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gradcheck_subcommand(capsys):

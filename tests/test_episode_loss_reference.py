@@ -92,8 +92,8 @@ def reference_episode_loss(episode, trunk, phi, config, rng=None, noise=None):
 
     dh_s = dh_s + np.tile(dpooled / ns, (ns, 1))
 
-    gs, _ = mlp.trunk_backward(trunk, cache_s, dh_s)
-    gq, _ = mlp.trunk_backward(trunk, cache_q, dh_q)
+    gs = mlp.trunk_backward(trunk, cache_s, dh_s)
+    gq = mlp.trunk_backward(trunk, cache_q, dh_q)
     trunk_grads = [(a[0] + b[0], a[1] + b[1]) for a, b in zip(gs, gq)]
     return loss, trunk_grads, phi_grads
 

@@ -407,18 +407,6 @@ def test_adapt_and_score_single_support_row_scores_itself_zero():
     assert scores[0] == 0.0
 
 
-def test_adapt_and_score_sampled_mode():
-    trunk, phi = _tiny_meta_model()
-    rng = Rng(2)
-    support = rng.gaussian_matrix(6, 3)
-    queries = rng.gaussian_matrix(10, 3)
-    s1 = adapt_and_score(support, queries, trunk, phi, posterior_samples=3, rng=Rng(7))
-    s2 = adapt_and_score(support, queries, trunk, phi, posterior_samples=3, rng=Rng(7))
-    assert np.array_equal(s1, s2)
-    assert s1.shape == (10,)
-    assert np.all(np.isfinite(s1))
-
-
 def test_adapt_and_score_empty_support():
     trunk, phi = _tiny_meta_model()
     with pytest.raises(DataError):

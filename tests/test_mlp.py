@@ -137,34 +137,6 @@ def test_gradcheck_with_final_bias():
     assert err <= 1e-4
 
 
-def test_gradcheck_input_gradients():
-    cfg = mlp.EncoderConfig(input_dim=4, hidden_dims=(5,), latent_dim=3)
-    p = mlp.init_params(cfg, Rng(13))
-    x = Rng(14).gaussian_matrix(3, 4)
-
-    def loss_and_grad(params):
-        (xv,) = params
-        z, cache = mlp.encode_with_cache(xv, p)
-        g = mlp.encode_backward(xv, p, 2.0 * z, need_dx=True, cache=cache)
-        return float(np.sum(z * z)), [g.x]
-
-    assert grad_check(loss_and_grad, [x], h=1e-5) <= 1e-4
-
-
-def test_gradcheck_input_gradients_no_hidden():
-    cfg = mlp.EncoderConfig(input_dim=3, hidden_dims=(), latent_dim=2)
-    p = mlp.init_params(cfg, Rng(15))
-    x = Rng(16).gaussian_matrix(4, 3)
-
-    def loss_and_grad(params):
-        (xv,) = params
-        z, cache = mlp.encode_with_cache(xv, p)
-        g = mlp.encode_backward(xv, p, 2.0 * z, need_dx=True, cache=cache)
-        return float(np.sum(z * z)), [g.x]
-
-    assert grad_check(loss_and_grad, [x], h=1e-5) <= 1e-4
-
-
 def test_param_arrays_are_live_views():
     cfg = mlp.EncoderConfig(input_dim=3, hidden_dims=(4,), latent_dim=2)
     p = mlp.init_params(cfg, Rng(17))

@@ -206,3 +206,9 @@ def test_sample_indices_distinct():
     assert len(idx) == 6
     assert len(set(idx.tolist())) == 6
     assert all(0 <= i < 10 for i in idx)
+
+
+@pytest.mark.parametrize("k", [-1, 31])
+def test_sample_indices_rejects_k_outside_range(k):
+    with pytest.raises(ValueError):
+        Rng(4).sample_indices(30, k)
